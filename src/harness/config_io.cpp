@@ -1,13 +1,15 @@
 #include "harness/config_io.hpp"
 
+#include <algorithm>
+#include <array>
+#include <cctype>
+#include <cmath>
 #include <fstream>
-#include <functional>
 #include <limits>
-#include <map>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
-#include <vector>
+#include <type_traits>
 
 namespace aquamac {
 
@@ -75,142 +77,253 @@ TrafficMode traffic_mode_from_string(const std::string& name) {
   throw std::invalid_argument("unknown traffic mode: " + name);
 }
 
-double parse_double(const std::string& key, const std::string& raw) {
+// Codecs, one overload per member type: a table row's accessor picks
+// them. Decoders throw std::invalid_argument without the key;
+// apply_scenario_key adds it.
+
+void decode(const std::string& raw, double& out) {
+  double v = 0.0;
   try {
     std::size_t pos = 0;
-    const double v = std::stod(raw, &pos);
+    v = std::stod(raw, &pos);
     if (pos != raw.size()) throw std::invalid_argument("trailing");
-    return v;
   } catch (const std::exception&) {
-    throw std::invalid_argument("scenario key '" + key + "': expected a number, got '" + raw +
-                                "'");
+    throw std::invalid_argument("expected a number, got '" + raw + "'");
   }
+  if (!std::isfinite(v)) {
+    throw std::invalid_argument("expected a finite number, got '" + raw + "'");
+  }
+  out = v;
 }
 
-std::uint64_t parse_uint(const std::string& key, const std::string& raw) {
+/// Unsigned integers of every width; the other types have overloads.
+template <class T>
+void decode(const std::string& raw, T& out) {
+  static_assert(std::is_unsigned_v<T>, "no scenario codec for this member type");
+  constexpr std::uint64_t kMax = std::numeric_limits<T>::max();
+  unsigned long long v = 0;
   try {
-    // std::stoull accepts a leading '-' by wrapping modulo 2^64, which
-    // would turn "node-count = -1" into a 16-EiB allocation request.
-    if (!raw.empty() && raw.front() == '-') throw std::invalid_argument("negative");
+    // std::stoull skips leading blanks and accepts a leading '-' by
+    // wrapping modulo 2^64, which would turn "node-count = -1" into a
+    // 16-EiB allocation request: only a plain digit string is an integer.
+    if (raw.empty() || std::isdigit(static_cast<unsigned char>(raw.front())) == 0) {
+      throw std::invalid_argument("not a digit");
+    }
     std::size_t pos = 0;
-    const unsigned long long v = std::stoull(raw, &pos);
+    v = std::stoull(raw, &pos);
     if (pos != raw.size()) throw std::invalid_argument("trailing");
-    return v;
   } catch (const std::exception&) {
-    throw std::invalid_argument("scenario key '" + key + "': expected an integer, got '" +
+    throw std::invalid_argument("expected an integer, got '" + raw + "'");
+  }
+  if (v > kMax) {
+    throw std::invalid_argument("expected an integer in [0, " + std::to_string(kMax) + "], got '" +
                                 raw + "'");
   }
+  out = static_cast<T>(v);
 }
 
-bool parse_bool(const std::string& key, const std::string& raw) {
-  if (raw == "true" || raw == "1") return true;
-  if (raw == "false" || raw == "0") return false;
-  throw std::invalid_argument("scenario key '" + key + "': expected true/false, got '" + raw +
-                              "'");
+void decode(const std::string& raw, bool& out) {
+  if (raw != "true" && raw != "1" && raw != "false" && raw != "0") {
+    throw std::invalid_argument("expected true/false, got '" + raw + "'");
+  }
+  out = raw == "true" || raw == "1";
 }
+
+void decode(const std::string& raw, Duration& out) {
+  double s = 0.0;
+  decode(raw, s);
+  // Duration::from_seconds rounds s * 1e9 to int64 nanoseconds.
+  if (std::abs(s * 1e9) >= 0x1p63) {
+    throw std::invalid_argument("expected a duration within +/-2^63 ns, got '" + raw + "'");
+  }
+  out = Duration::from_seconds(s);
+}
+
+void decode(const std::string& raw, std::string& out) { out = raw; }
+void decode(const std::string& raw, MacKind& out) { out = mac_kind_from_string(raw); }
+void decode(const std::string& raw, RoutingKind& out) { out = routing_kind_from_string(raw); }
+void decode(const std::string& raw, RelayDropPolicy& out) {
+  out = relay_drop_policy_from_string(raw);
+}
+void decode(const std::string& raw, DeploymentKind& out) { out = deployment_from_string(raw); }
+void decode(const std::string& raw, PropagationKind& out) { out = propagation_from_string(raw); }
+void decode(const std::string& raw, ReceptionKind& out) { out = reception_from_string(raw); }
+void decode(const std::string& raw, Spreading& out) { out = spreading_from_string(raw); }
+void decode(const std::string& raw, TrafficMode& out) { out = traffic_mode_from_string(raw); }
+
+void encode(std::ostream& os, double v) { os << v; }
+/// Enums and unsigned integers; the other types have overloads.
+template <class T>
+void encode(std::ostream& os, T v) {
+  if constexpr (std::is_enum_v<T>) {
+    os << to_string(v);
+  } else {
+    static_assert(std::is_unsigned_v<T>, "no scenario codec for this member type");
+    os << static_cast<std::uint64_t>(v);  // a uint8_t must print as a number
+  }
+}
+void encode(std::ostream& os, bool v) { os << (v ? "true" : "false"); }
+void encode(std::ostream& os, Duration v) { os << v.to_seconds(); }
+void encode(std::ostream& os, const std::string& v) { os << v; }
+
+/// One scenario key: its name, the comment header written before it where
+/// a group starts, and its codec bound to one ScenarioConfig member.
+struct Field {
+  std::string_view key;
+  std::string_view section;
+  void (*write)(std::ostream&, const ScenarioConfig&);
+  void (*read)(ScenarioConfig&, const std::string&);
+};
+
+/// Builds a row from an accessor `[](auto& c) -> auto& { return c.member; }`.
+/// kNonZero rejects 0 for counts that must be positive.
+template <bool kNonZero = false, class Get>
+constexpr Field field(std::string_view key, Get /*accessor*/, std::string_view section = {}) {
+  return {key, section, [](std::ostream& os, const ScenarioConfig& c) { encode(os, Get{}(c)); },
+          [](ScenarioConfig& c, const std::string& raw) {
+            auto value = Get{}(c);
+            decode(raw, value);
+            if constexpr (kNonZero) {
+              if (value == 0) {
+                throw std::invalid_argument("expected a positive integer, got '" + raw + "'");
+              }
+            }
+            Get{}(c) = std::move(value);
+          }};
+}
+
+/// Every scenario key, in file order. The only place a key is declared.
+constexpr auto kFields = std::to_array<Field>({
+    field("mac", [](auto& c) -> auto& { return c.mac; }),
+    field<true>("node-count", [](auto& c) -> auto& { return c.node_count; }),
+    field("seed", [](auto& c) -> auto& { return c.seed; }),
+    field("jobs", [](auto& c) -> auto& { return c.jobs; }),
+    field<true>("shards", [](auto& c) -> auto& { return c.shards; }),
+    field("sim-time-s", [](auto& c) -> auto& { return c.sim_time; }),
+    field("hello-window-s", [](auto& c) -> auto& { return c.hello_window; }),
+    field("hello-rounds", [](auto& c) -> auto& { return c.hello_rounds; }),
+    field("freq-khz", [](auto& c) -> auto& { return c.channel.freq_khz; }, "channel / physics"),
+    field("bandwidth-hz", [](auto& c) -> auto& { return c.channel.bandwidth_hz; }),
+    field("source-level-db", [](auto& c) -> auto& { return c.channel.source_level_db; }),
+    field("comm-range-m", [](auto& c) -> auto& { return c.channel.comm_range_m; }),
+    field("interference-range-m",
+          [](auto& c) -> auto& { return c.channel.interference_range_m; }),
+    field("bit-rate-bps", [](auto& c) -> auto& { return c.bit_rate_bps; }),
+    field("sound-speed-mps", [](auto& c) -> auto& { return c.sound_speed_mps; }),
+    field("propagation", [](auto& c) -> auto& { return c.propagation; }),
+    field("spreading", [](auto& c) -> auto& { return c.channel.spreading; }),
+    field("reception", [](auto& c) -> auto& { return c.reception; }),
+    field("shipping", [](auto& c) -> auto& { return c.channel.noise.shipping; }),
+    field("wind-mps", [](auto& c) -> auto& { return c.channel.noise.wind_mps; }),
+    field("deployment", [](auto& c) -> auto& { return c.deployment.kind; },
+          "deployment / mobility"),
+    field("width-m", [](auto& c) -> auto& { return c.deployment.width_m; }),
+    field("length-m", [](auto& c) -> auto& { return c.deployment.length_m; }),
+    field("depth-m", [](auto& c) -> auto& { return c.deployment.depth_m; }),
+    field("layer-spacing-m", [](auto& c) -> auto& { return c.deployment.layer_spacing_m; }),
+    field("jitter-m", [](auto& c) -> auto& { return c.deployment.jitter_m; }),
+    field("mobility", [](auto& c) -> auto& { return c.enable_mobility; }),
+    field("drift-mps", [](auto& c) -> auto& { return c.mobility.speed_mps; }),
+    field("clock-skew-s", [](auto& c) -> auto& { return c.clock_offset_stddev_s; }),
+    field("control-bits", [](auto& c) -> auto& { return c.mac_config.control_bits; }, "MAC"),
+    field("max-retries", [](auto& c) -> auto& { return c.mac_config.max_retries; }),
+    field("cw-min-slots", [](auto& c) -> auto& { return c.mac_config.cw_min_slots; }),
+    field("cw-max-slots", [](auto& c) -> auto& { return c.mac_config.cw_max_slots; }),
+    field("queue-limit", [](auto& c) -> auto& { return c.mac_config.queue_limit; }),
+    field("enable-extra", [](auto& c) -> auto& { return c.mac_config.enable_extra; }),
+    field("enable-priority", [](auto& c) -> auto& { return c.mac_config.enable_priority; }),
+    field("traffic-mode", [](auto& c) -> auto& { return c.traffic.mode; }, "traffic"),
+    field("offered-load-kbps", [](auto& c) -> auto& { return c.traffic.offered_load_kbps; }),
+    field("packet-bits-min", [](auto& c) -> auto& { return c.traffic.packet_bits_min; }),
+    field("packet-bits-max", [](auto& c) -> auto& { return c.traffic.packet_bits_max; }),
+    field("batch-packets", [](auto& c) -> auto& { return c.traffic.batch_packets; }),
+    field("multi-hop", [](auto& c) -> auto& { return c.multi_hop; }, "multi-hop"),
+    field("sink-fraction", [](auto& c) -> auto& { return c.sink_fraction; }),
+    field("hop-limit", [](auto& c) -> auto& { return c.hop_limit; }),
+    field("routing", [](auto& c) -> auto& { return c.routing; }),
+    field("routing-beacon-s", [](auto& c) -> auto& { return c.routing_beacon; }),
+    field("greedy-blacklist", [](auto& c) -> auto& { return c.greedy_blacklist; }),
+    field("reliability-retries", [](auto& c) -> auto& { return c.reliability.max_retries; },
+          "reliability (hop-by-hop custody ARQ; retries 0 = off)"),
+    field("reliability-queue-limit", [](auto& c) -> auto& { return c.reliability.queue_limit; }),
+    field("reliability-drop-policy", [](auto& c) -> auto& { return c.reliability.drop_policy; }),
+    field("reliability-backoff-base-s",
+          [](auto& c) -> auto& { return c.reliability.backoff_base; }),
+    field("reliability-backoff-max-s", [](auto& c) -> auto& { return c.reliability.backoff_max; }),
+    field("reliability-failover", [](auto& c) -> auto& { return c.reliability.failover; }),
+    field("node-failure-fraction", [](auto& c) -> auto& { return c.node_failure_fraction; },
+          "failure injection"),
+    field("node-failure-time-s", [](auto& c) -> auto& { return c.node_failure_time; }),
+    field("surface-echo", [](auto& c) -> auto& { return c.channel.enable_surface_echo; }),
+    field("reflection-loss-db",
+          [](auto& c) -> auto& { return c.channel.surface_reflection_loss_db; }),
+    field("cache-paths", [](auto& c) -> auto& { return c.channel.cache_paths; }),
+    field("spatial-index", [](auto& c) -> auto& { return c.channel.use_spatial_index; }),
+    field("fault-drift-ppm", [](auto& c) -> auto& { return c.fault.drift_ppm_stddev; },
+          "fault injection (all zero = strict no-op)"),
+    field("fault-drift-jitter-s", [](auto& c) -> auto& { return c.fault.drift_jitter_stddev_s; }),
+    field("fault-jitter-interval-s",
+          [](auto& c) -> auto& { return c.fault.drift_jitter_interval; }),
+    field("fault-outage-per-hour", [](auto& c) -> auto& { return c.fault.outage_rate_per_hour; }),
+    field("fault-outage-mean-s", [](auto& c) -> auto& { return c.fault.outage_mean_duration; }),
+    field("fault-duty-cycle", [](auto& c) -> auto& { return c.fault.duty_cycle; }),
+    field("fault-duty-period-s", [](auto& c) -> auto& { return c.fault.duty_period; }),
+    field("fault-ge-p-bad", [](auto& c) -> auto& { return c.fault.ge_p_bad; }),
+    field("fault-ge-p-good", [](auto& c) -> auto& { return c.fault.ge_p_good; }),
+    field("fault-ge-loss-bad", [](auto& c) -> auto& { return c.fault.ge_loss_bad; }),
+    field("fault-ge-loss-good", [](auto& c) -> auto& { return c.fault.ge_loss_good; }),
+    field("fault-ge-step-s", [](auto& c) -> auto& { return c.fault.ge_step; }),
+    field("fault-storm-per-hour", [](auto& c) -> auto& { return c.fault.storm_rate_per_hour; }),
+    field("fault-storm-mean-s", [](auto& c) -> auto& { return c.fault.storm_mean_duration; }),
+    field("fault-storm-loss", [](auto& c) -> auto& { return c.fault.storm_loss_prob; }),
+    field("neighbor-max-age-s", [](auto& c) -> auto& { return c.mac_config.neighbor_max_age; },
+          "protocol hardening"),
+    field("dead-neighbor-threshold",
+          [](auto& c) -> auto& { return c.mac_config.dead_neighbor_threshold; }),
+    field("dead-probe-interval-s",
+          [](auto& c) -> auto& { return c.mac_config.dead_probe_interval; }),
+    field("guard-slack-s", [](auto& c) -> auto& { return c.mac_config.guard_slack; }),
+    field("neighbor-ewma", [](auto& c) -> auto& { return c.mac_config.neighbor_ewma; }),
+    field("checkpoint-every-s", [](auto& c) -> auto& { return c.checkpoint_every; },
+          "checkpointing"),
+    field("checkpoint-path", [](auto& c) -> auto& { return c.checkpoint_path; }),
+});
+
+/// max_digits10 makes every double exactly round-trippable; the default
+/// 6-significant-digit stream precision silently perturbed sim-time-s,
+/// freq-khz and the fault rates on save -> load.
+constexpr std::streamsize kExactDigits = std::numeric_limits<double>::max_digits10;
 
 }  // namespace
 
+std::vector<std::string> scenario_keys() {
+  std::vector<std::string> keys;
+  keys.reserve(kFields.size());
+  for (const Field& f : kFields) keys.emplace_back(f.key);
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+void apply_scenario_key(ScenarioConfig& config, const std::string& key, const std::string& value) {
+  const auto* it = std::find_if(kFields.begin(), kFields.end(),
+                                [&](const Field& f) { return f.key == key; });
+  if (it == kFields.end()) throw std::invalid_argument("unknown scenario key '" + key + "'");
+  try {
+    it->read(config, value);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument("scenario key '" + key + "': " + e.what());
+  }
+}
+
 void save_scenario(const ScenarioConfig& config, std::ostream& os) {
-  // max_digits10 makes every double exactly round-trippable; the default
-  // 6-significant-digit stream precision silently perturbed sim-time-s,
-  // freq-khz and the fault rates on save -> load.
-  const std::streamsize saved_precision =
-      os.precision(std::numeric_limits<double>::max_digits10);
+  const std::streamsize saved_precision = os.precision(kExactDigits);
   os << "# aquamac scenario\n";
-  os << "mac = " << aquamac::to_string(config.mac) << "\n";
-  os << "node-count = " << config.node_count << "\n";
-  os << "seed = " << config.seed << "\n";
-  os << "jobs = " << config.jobs << "\n";
-  os << "shards = " << config.shards << "\n";
-  os << "sim-time-s = " << config.sim_time.to_seconds() << "\n";
-  os << "hello-window-s = " << config.hello_window.to_seconds() << "\n";
-  os << "hello-rounds = " << config.hello_rounds << "\n";
-  os << "\n# channel / physics\n";
-  os << "freq-khz = " << config.channel.freq_khz << "\n";
-  os << "bandwidth-hz = " << config.channel.bandwidth_hz << "\n";
-  os << "source-level-db = " << config.channel.source_level_db << "\n";
-  os << "comm-range-m = " << config.channel.comm_range_m << "\n";
-  os << "interference-range-m = " << config.channel.interference_range_m << "\n";
-  os << "bit-rate-bps = " << config.bit_rate_bps << "\n";
-  os << "sound-speed-mps = " << config.sound_speed_mps << "\n";
-  os << "propagation = " << to_string(config.propagation) << "\n";
-  os << "spreading = " << to_string(config.channel.spreading) << "\n";
-  os << "reception = " << to_string(config.reception) << "\n";
-  os << "shipping = " << config.channel.noise.shipping << "\n";
-  os << "wind-mps = " << config.channel.noise.wind_mps << "\n";
-  os << "\n# deployment / mobility\n";
-  os << "deployment = " << to_string(config.deployment.kind) << "\n";
-  os << "width-m = " << config.deployment.width_m << "\n";
-  os << "length-m = " << config.deployment.length_m << "\n";
-  os << "depth-m = " << config.deployment.depth_m << "\n";
-  os << "layer-spacing-m = " << config.deployment.layer_spacing_m << "\n";
-  os << "jitter-m = " << config.deployment.jitter_m << "\n";
-  os << "mobility = " << (config.enable_mobility ? "true" : "false") << "\n";
-  os << "drift-mps = " << config.mobility.speed_mps << "\n";
-  os << "clock-skew-s = " << config.clock_offset_stddev_s << "\n";
-  os << "\n# MAC\n";
-  os << "control-bits = " << config.mac_config.control_bits << "\n";
-  os << "max-retries = " << config.mac_config.max_retries << "\n";
-  os << "cw-min-slots = " << config.mac_config.cw_min_slots << "\n";
-  os << "cw-max-slots = " << config.mac_config.cw_max_slots << "\n";
-  os << "queue-limit = " << config.mac_config.queue_limit << "\n";
-  os << "enable-extra = " << (config.mac_config.enable_extra ? "true" : "false") << "\n";
-  os << "enable-priority = " << (config.mac_config.enable_priority ? "true" : "false") << "\n";
-  os << "\n# traffic\n";
-  os << "traffic-mode = " << to_string(config.traffic.mode) << "\n";
-  os << "offered-load-kbps = " << config.traffic.offered_load_kbps << "\n";
-  os << "packet-bits-min = " << config.traffic.packet_bits_min << "\n";
-  os << "packet-bits-max = " << config.traffic.packet_bits_max << "\n";
-  os << "batch-packets = " << config.traffic.batch_packets << "\n";
-  os << "\n# multi-hop\n";
-  os << "multi-hop = " << (config.multi_hop ? "true" : "false") << "\n";
-  os << "sink-fraction = " << config.sink_fraction << "\n";
-  os << "hop-limit = " << static_cast<unsigned>(config.hop_limit) << "\n";
-  os << "routing = " << to_string(config.routing) << "\n";
-  os << "routing-beacon-s = " << config.routing_beacon.to_seconds() << "\n";
-  os << "greedy-blacklist = " << (config.greedy_blacklist ? "true" : "false") << "\n";
-  os << "\n# reliability (hop-by-hop custody ARQ; retries 0 = off)\n";
-  os << "reliability-retries = " << config.reliability.max_retries << "\n";
-  os << "reliability-queue-limit = " << config.reliability.queue_limit << "\n";
-  os << "reliability-drop-policy = " << to_string(config.reliability.drop_policy) << "\n";
-  os << "reliability-backoff-base-s = " << config.reliability.backoff_base.to_seconds()
-     << "\n";
-  os << "reliability-backoff-max-s = " << config.reliability.backoff_max.to_seconds() << "\n";
-  os << "reliability-failover = " << (config.reliability.failover ? "true" : "false") << "\n";
-  os << "\n# failure injection\n";
-  os << "node-failure-fraction = " << config.node_failure_fraction << "\n";
-  os << "node-failure-time-s = " << config.node_failure_time.to_seconds() << "\n";
-  os << "surface-echo = " << (config.channel.enable_surface_echo ? "true" : "false") << "\n";
-  os << "reflection-loss-db = " << config.channel.surface_reflection_loss_db << "\n";
-  os << "cache-paths = " << (config.channel.cache_paths ? "true" : "false") << "\n";
-  os << "spatial-index = " << (config.channel.use_spatial_index ? "true" : "false") << "\n";
-  os << "\n# fault injection (all zero = strict no-op)\n";
-  os << "fault-drift-ppm = " << config.fault.drift_ppm_stddev << "\n";
-  os << "fault-drift-jitter-s = " << config.fault.drift_jitter_stddev_s << "\n";
-  os << "fault-jitter-interval-s = " << config.fault.drift_jitter_interval.to_seconds() << "\n";
-  os << "fault-outage-per-hour = " << config.fault.outage_rate_per_hour << "\n";
-  os << "fault-outage-mean-s = " << config.fault.outage_mean_duration.to_seconds() << "\n";
-  os << "fault-duty-cycle = " << config.fault.duty_cycle << "\n";
-  os << "fault-duty-period-s = " << config.fault.duty_period.to_seconds() << "\n";
-  os << "fault-ge-p-bad = " << config.fault.ge_p_bad << "\n";
-  os << "fault-ge-p-good = " << config.fault.ge_p_good << "\n";
-  os << "fault-ge-loss-bad = " << config.fault.ge_loss_bad << "\n";
-  os << "fault-ge-loss-good = " << config.fault.ge_loss_good << "\n";
-  os << "fault-ge-step-s = " << config.fault.ge_step.to_seconds() << "\n";
-  os << "fault-storm-per-hour = " << config.fault.storm_rate_per_hour << "\n";
-  os << "fault-storm-mean-s = " << config.fault.storm_mean_duration.to_seconds() << "\n";
-  os << "fault-storm-loss = " << config.fault.storm_loss_prob << "\n";
-  os << "\n# protocol hardening\n";
-  os << "neighbor-max-age-s = " << config.mac_config.neighbor_max_age.to_seconds() << "\n";
-  os << "dead-neighbor-threshold = " << config.mac_config.dead_neighbor_threshold << "\n";
-  os << "dead-probe-interval-s = " << config.mac_config.dead_probe_interval.to_seconds()
-     << "\n";
-  os << "guard-slack-s = " << config.mac_config.guard_slack.to_seconds() << "\n";
-  os << "neighbor-ewma = " << config.mac_config.neighbor_ewma << "\n";
-  os << "\n# checkpointing\n";
-  os << "checkpoint-every-s = " << config.checkpoint_every.to_seconds() << "\n";
-  os << "checkpoint-path = " << config.checkpoint_path << "\n";
+  for (const Field& f : kFields) {
+    if (!f.section.empty()) os << "\n# " << f.section << "\n";
+    os << f.key << " = ";
+    f.write(os, config);
+    os << "\n";
+  }
   os.precision(saved_precision);
 }
 
@@ -220,327 +333,29 @@ void save_scenario_file(const ScenarioConfig& config, const std::string& path) {
   save_scenario(config, os);
 }
 
-namespace {
-
-using Setter = std::function<void(ScenarioConfig&, const std::string&, const std::string&)>;
-
-/// Key -> setter map shared by load_scenario and scenario_keys, so the
-/// round-trip exhaustiveness test can diff the accepted keys against
-/// whatever save_scenario emits.
-const std::map<std::string, Setter>& setters() {
-  static const std::map<std::string, Setter> kSetters = {
-      {"mac", [](ScenarioConfig& c, const std::string&, const std::string& v) {
-         c.mac = mac_kind_from_string(v);
-       }},
-      {"node-count", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.node_count = static_cast<std::size_t>(parse_uint(k, v));
-       }},
-      {"seed", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.seed = parse_uint(k, v);
-       }},
-      {"jobs", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.jobs = static_cast<unsigned>(parse_uint(k, v));
-       }},
-      {"shards", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.shards = std::max<unsigned>(1, static_cast<unsigned>(parse_uint(k, v)));
-       }},
-      {"sim-time-s", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.sim_time = Duration::from_seconds(parse_double(k, v));
-       }},
-      {"hello-window-s", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.hello_window = Duration::from_seconds(parse_double(k, v));
-       }},
-      {"hello-rounds", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.hello_rounds = static_cast<std::uint32_t>(parse_uint(k, v));
-       }},
-      {"freq-khz", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.channel.freq_khz = parse_double(k, v);
-       }},
-      {"bandwidth-hz", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.channel.bandwidth_hz = parse_double(k, v);
-       }},
-      {"source-level-db", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.channel.source_level_db = parse_double(k, v);
-       }},
-      {"comm-range-m", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.channel.comm_range_m = parse_double(k, v);
-       }},
-      {"interference-range-m",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.channel.interference_range_m = parse_double(k, v);
-       }},
-      {"bit-rate-bps", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.bit_rate_bps = parse_double(k, v);
-       }},
-      {"sound-speed-mps", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.sound_speed_mps = parse_double(k, v);
-       }},
-      {"propagation", [](ScenarioConfig& c, const std::string&, const std::string& v) {
-         c.propagation = propagation_from_string(v);
-       }},
-      {"reception", [](ScenarioConfig& c, const std::string&, const std::string& v) {
-         c.reception = reception_from_string(v);
-       }},
-      {"shipping", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.channel.noise.shipping = parse_double(k, v);
-       }},
-      {"wind-mps", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.channel.noise.wind_mps = parse_double(k, v);
-       }},
-      {"deployment", [](ScenarioConfig& c, const std::string&, const std::string& v) {
-         c.deployment.kind = deployment_from_string(v);
-       }},
-      {"width-m", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.deployment.width_m = parse_double(k, v);
-       }},
-      {"length-m", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.deployment.length_m = parse_double(k, v);
-       }},
-      {"depth-m", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.deployment.depth_m = parse_double(k, v);
-       }},
-      {"layer-spacing-m", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.deployment.layer_spacing_m = parse_double(k, v);
-       }},
-      {"jitter-m", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.deployment.jitter_m = parse_double(k, v);
-       }},
-      {"mobility", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.enable_mobility = parse_bool(k, v);
-       }},
-      {"drift-mps", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.mobility.speed_mps = parse_double(k, v);
-       }},
-      {"clock-skew-s", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.clock_offset_stddev_s = parse_double(k, v);
-       }},
-      {"control-bits", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.mac_config.control_bits = static_cast<std::uint32_t>(parse_uint(k, v));
-       }},
-      {"max-retries", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.mac_config.max_retries = static_cast<std::uint32_t>(parse_uint(k, v));
-       }},
-      {"cw-min-slots", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.mac_config.cw_min_slots = static_cast<std::uint32_t>(parse_uint(k, v));
-       }},
-      {"cw-max-slots", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.mac_config.cw_max_slots = static_cast<std::uint32_t>(parse_uint(k, v));
-       }},
-      {"queue-limit", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.mac_config.queue_limit = static_cast<std::size_t>(parse_uint(k, v));
-       }},
-      {"enable-extra", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.mac_config.enable_extra = parse_bool(k, v);
-       }},
-      {"enable-priority", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.mac_config.enable_priority = parse_bool(k, v);
-       }},
-      {"traffic-mode", [](ScenarioConfig& c, const std::string&, const std::string& v) {
-         c.traffic.mode = traffic_mode_from_string(v);
-       }},
-      {"offered-load-kbps", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.traffic.offered_load_kbps = parse_double(k, v);
-       }},
-      {"packet-bits-min", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.traffic.packet_bits_min = static_cast<std::uint32_t>(parse_uint(k, v));
-       }},
-      {"packet-bits-max", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.traffic.packet_bits_max = static_cast<std::uint32_t>(parse_uint(k, v));
-       }},
-      {"batch-packets", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.traffic.batch_packets = static_cast<std::uint32_t>(parse_uint(k, v));
-       }},
-      {"multi-hop", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.multi_hop = parse_bool(k, v);
-       }},
-      {"sink-fraction", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.sink_fraction = parse_double(k, v);
-       }},
-      {"hop-limit", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.hop_limit = static_cast<std::uint8_t>(parse_uint(k, v));
-       }},
-      {"routing", [](ScenarioConfig& c, const std::string&, const std::string& v) {
-         c.routing = routing_kind_from_string(v);
-       }},
-      {"routing-beacon-s", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.routing_beacon = Duration::from_seconds(parse_double(k, v));
-       }},
-      {"greedy-blacklist", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.greedy_blacklist = parse_bool(k, v);
-       }},
-      {"reliability-retries",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.reliability.max_retries = static_cast<std::uint32_t>(parse_uint(k, v));
-       }},
-      {"reliability-queue-limit",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.reliability.queue_limit = static_cast<std::uint32_t>(parse_uint(k, v));
-       }},
-      {"reliability-drop-policy",
-       [](ScenarioConfig& c, const std::string&, const std::string& v) {
-         c.reliability.drop_policy = relay_drop_policy_from_string(v);
-       }},
-      {"reliability-backoff-base-s",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.reliability.backoff_base = Duration::from_seconds(parse_double(k, v));
-       }},
-      {"reliability-backoff-max-s",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.reliability.backoff_max = Duration::from_seconds(parse_double(k, v));
-       }},
-      {"reliability-failover",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.reliability.failover = parse_bool(k, v);
-       }},
-      {"node-failure-fraction",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.node_failure_fraction = parse_double(k, v);
-       }},
-      {"node-failure-time-s",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.node_failure_time = Duration::from_seconds(parse_double(k, v));
-       }},
-      {"surface-echo", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.channel.enable_surface_echo = parse_bool(k, v);
-       }},
-      {"reflection-loss-db",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.channel.surface_reflection_loss_db = parse_double(k, v);
-       }},
-      {"cache-paths", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.channel.cache_paths = parse_bool(k, v);
-       }},
-      {"spreading", [](ScenarioConfig& c, const std::string&, const std::string& v) {
-         c.channel.spreading = spreading_from_string(v);
-       }},
-      {"spatial-index", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.channel.use_spatial_index = parse_bool(k, v);
-       }},
-      {"fault-drift-ppm", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.fault.drift_ppm_stddev = parse_double(k, v);
-       }},
-      {"fault-drift-jitter-s",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.fault.drift_jitter_stddev_s = parse_double(k, v);
-       }},
-      {"fault-jitter-interval-s",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.fault.drift_jitter_interval = Duration::from_seconds(parse_double(k, v));
-       }},
-      {"fault-outage-per-hour",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.fault.outage_rate_per_hour = parse_double(k, v);
-       }},
-      {"fault-outage-mean-s",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.fault.outage_mean_duration = Duration::from_seconds(parse_double(k, v));
-       }},
-      {"fault-duty-cycle", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.fault.duty_cycle = parse_double(k, v);
-       }},
-      {"fault-duty-period-s",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.fault.duty_period = Duration::from_seconds(parse_double(k, v));
-       }},
-      {"fault-ge-p-bad", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.fault.ge_p_bad = parse_double(k, v);
-       }},
-      {"fault-ge-p-good", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.fault.ge_p_good = parse_double(k, v);
-       }},
-      {"fault-ge-loss-bad", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.fault.ge_loss_bad = parse_double(k, v);
-       }},
-      {"fault-ge-loss-good",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.fault.ge_loss_good = parse_double(k, v);
-       }},
-      {"fault-ge-step-s", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.fault.ge_step = Duration::from_seconds(parse_double(k, v));
-       }},
-      {"fault-storm-per-hour",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.fault.storm_rate_per_hour = parse_double(k, v);
-       }},
-      {"fault-storm-mean-s",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.fault.storm_mean_duration = Duration::from_seconds(parse_double(k, v));
-       }},
-      {"fault-storm-loss", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.fault.storm_loss_prob = parse_double(k, v);
-       }},
-      {"neighbor-max-age-s",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.mac_config.neighbor_max_age = Duration::from_seconds(parse_double(k, v));
-       }},
-      {"dead-neighbor-threshold",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.mac_config.dead_neighbor_threshold = static_cast<std::uint32_t>(parse_uint(k, v));
-       }},
-      {"dead-probe-interval-s",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.mac_config.dead_probe_interval = Duration::from_seconds(parse_double(k, v));
-       }},
-      {"guard-slack-s", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.mac_config.guard_slack = Duration::from_seconds(parse_double(k, v));
-       }},
-      {"neighbor-ewma", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.mac_config.neighbor_ewma = parse_double(k, v);
-       }},
-      {"checkpoint-every-s",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.checkpoint_every = Duration::from_seconds(parse_double(k, v));
-       }},
-      {"checkpoint-path", [](ScenarioConfig& c, const std::string&, const std::string& v) {
-         c.checkpoint_path = v;
-       }},
-  };
-  return kSetters;
-}
-
-}  // namespace
-
-std::vector<std::string> scenario_keys() {
-  std::vector<std::string> keys;
-  keys.reserve(setters().size());
-  for (const auto& [key, setter] : setters()) keys.push_back(key);
-  return keys;
-}
-
 ScenarioConfig load_scenario(std::istream& is, ScenarioConfig base) {
-  ScenarioConfig config = base;
-  const std::map<std::string, Setter>& kSetters = setters();
-
+  ScenarioConfig config = std::move(base);
+  const auto trim = [](const std::string& s) {
+    const auto b = s.find_first_not_of(" \t\r");
+    const auto e = s.find_last_not_of(" \t\r");
+    return b == std::string::npos ? std::string{} : s.substr(b, e - b + 1);
+  };
   std::string line;
   int line_no = 0;
   while (std::getline(is, line)) {
     ++line_no;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line = line.substr(0, hash);
-    // Trim.
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos) continue;
-    const auto last = line.find_last_not_of(" \t\r");
-    line = line.substr(first, last - first + 1);
-
+    line = trim(line.substr(0, line.find('#')));
+    if (line.empty()) continue;
     const auto eq = line.find('=');
     if (eq == std::string::npos) {
       throw std::invalid_argument("scenario line " + std::to_string(line_no) +
                                   ": expected 'key = value', got '" + line + "'");
     }
-    auto trim = [](std::string s) {
-      const auto b = s.find_first_not_of(" \t");
-      const auto e = s.find_last_not_of(" \t");
-      return b == std::string::npos ? std::string{} : s.substr(b, e - b + 1);
-    };
-    const std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
-    const auto it = kSetters.find(key);
-    if (it == kSetters.end()) {
-      throw std::invalid_argument("scenario line " + std::to_string(line_no) +
-                                  ": unknown key '" + key + "'");
+    try {
+      apply_scenario_key(config, trim(line.substr(0, eq)), trim(line.substr(eq + 1)));
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument("scenario line " + std::to_string(line_no) + ": " + e.what());
     }
-    it->second(config, key, value);
   }
   return config;
 }
@@ -549,6 +364,32 @@ ScenarioConfig load_scenario_file(const std::string& path, ScenarioConfig base) 
   std::ifstream is{path};
   if (!is) throw std::invalid_argument("cannot open scenario file " + path);
   return load_scenario(is, std::move(base));
+}
+
+std::vector<CliParser::FlagSpec> scenario_flag_specs(const ScenarioConfig& defaults) {
+  std::vector<CliParser::FlagSpec> specs;
+  specs.reserve(kFields.size());
+  std::string_view section = "run";
+  for (const Field& f : kFields) {
+    if (!f.section.empty()) section = f.section;
+    std::ostringstream value;
+    value.precision(kExactDigits);
+    f.write(value, defaults);
+    specs.push_back(
+        {std::string{f.key}, value.str(), "scenario key (" + std::string{section} + ")"});
+  }
+  return specs;
+}
+
+std::vector<std::string> apply_scenario_flags(const CliParser& cli, ScenarioConfig& config) {
+  std::vector<std::string> given;
+  for (const Field& f : kFields) {
+    std::string key{f.key};
+    if (!cli.given(key)) continue;
+    apply_scenario_key(config, key, cli.get(key));
+    given.push_back(std::move(key));
+  }
+  return given;
 }
 
 }  // namespace aquamac

@@ -102,5 +102,20 @@ TEST(Cli, BoolAcceptsCommonSpellings) {
   }
 }
 
+TEST(Cli, GivenMeansOnTheCommandLineNotDefaulted) {
+  // A default value must never count as given: tools apply a scenario
+  // flag over a --config file key only when it was actually typed.
+  CliParser cli = make_parser();
+  const auto argv = argv_of({"--load", "0.5", "--verbose", "--trace="});
+  ASSERT_TRUE(cli.parse(static_cast<int>(argv.size()), argv.data()));
+  EXPECT_TRUE(cli.given("load")) << "given even though equal to the default";
+  EXPECT_TRUE(cli.given("verbose"));
+  EXPECT_TRUE(cli.given("trace")) << "given with an empty value";
+  EXPECT_FALSE(cli.has("trace"));
+  EXPECT_FALSE(cli.given("nodes")) << "defaulted";
+  EXPECT_TRUE(cli.has("nodes"));
+  EXPECT_THROW((void)cli.given("bogus"), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace aquamac

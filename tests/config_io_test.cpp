@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -13,6 +15,122 @@
 
 namespace aquamac {
 namespace {
+
+/// Every scenario key set away from its paper_default_scenario() value,
+/// small and short enough that aquamac_sim runs it in about a second.
+ScenarioConfig every_key_non_default() {
+  ScenarioConfig c = paper_default_scenario();
+  c.mac = MacKind::kSFama;
+  c.node_count = 6;
+  c.seed = 9'007'199'254'740'993;  // 2^53 + 1: not representable as a double
+  c.jobs = 2;
+  c.shards = 2;
+  c.sim_time = Duration::from_seconds(4.5);
+  c.hello_window = Duration::from_seconds(1.5);
+  c.hello_rounds = 3;
+  c.channel.freq_khz = 12.5;
+  c.channel.bandwidth_hz = 10'000.0;
+  c.channel.source_level_db = 150.0;
+  c.channel.comm_range_m = 1'200.0;
+  c.channel.interference_range_m = 1'800.0;
+  c.bit_rate_bps = 9'600.0;
+  c.sound_speed_mps = 1'510.0;
+  c.propagation = PropagationKind::kBellhopLite;
+  c.channel.spreading = Spreading::kCylindrical;
+  c.reception = ReceptionKind::kSinrPer;
+  c.channel.noise.shipping = 0.75;
+  c.channel.noise.wind_mps = 3.25;
+  c.deployment.kind = DeploymentKind::kLayeredColumn;
+  c.deployment.width_m = 1'500.0;
+  c.deployment.length_m = 1'600.0;
+  c.deployment.depth_m = 1'700.0;
+  c.deployment.layer_spacing_m = 250.0;
+  c.deployment.jitter_m = 50.0;
+  c.enable_mobility = false;
+  c.mobility.speed_mps = 0.5;
+  c.clock_offset_stddev_s = 0.001;
+  c.mac_config.control_bits = 96;
+  c.mac_config.max_retries = 4;
+  c.mac_config.cw_min_slots = 3;
+  c.mac_config.cw_max_slots = 24;
+  c.mac_config.queue_limit = 64;
+  c.mac_config.enable_extra = false;
+  c.mac_config.enable_priority = false;
+  c.traffic.mode = TrafficMode::kBatch;
+  c.traffic.offered_load_kbps = 0.75;
+  c.traffic.packet_bits_min = 1'024;
+  c.traffic.packet_bits_max = 4'096;
+  c.traffic.batch_packets = 10;
+  c.multi_hop = true;
+  c.sink_fraction = 0.25;
+  c.hop_limit = 200;
+  c.routing = RoutingKind::kDv;
+  c.routing_beacon = Duration::from_seconds(2.5);
+  c.greedy_blacklist = false;
+  c.reliability.max_retries = 2;
+  c.reliability.queue_limit = 16;
+  c.reliability.drop_policy = RelayDropPolicy::kOldestFirst;
+  c.reliability.backoff_base = Duration::from_seconds(1.5);
+  c.reliability.backoff_max = Duration::from_seconds(30.0);
+  c.reliability.failover = false;
+  c.node_failure_fraction = 0.2;
+  c.node_failure_time = Duration::from_seconds(1.0);
+  c.channel.enable_surface_echo = true;
+  c.channel.surface_reflection_loss_db = 4.5;
+  c.channel.cache_paths = false;
+  c.channel.use_spatial_index = false;
+  c.fault.drift_ppm_stddev = 20.0;
+  c.fault.drift_jitter_stddev_s = 0.0005;
+  c.fault.drift_jitter_interval = Duration::from_seconds(5.0);
+  c.fault.outage_rate_per_hour = 2.0;
+  c.fault.outage_mean_duration = Duration::from_seconds(3.0);
+  c.fault.duty_cycle = 0.9;
+  c.fault.duty_period = Duration::from_seconds(20.0);
+  c.fault.ge_p_bad = 0.01;
+  c.fault.ge_p_good = 0.2;
+  c.fault.ge_loss_bad = 0.5;
+  c.fault.ge_loss_good = 0.01;
+  c.fault.ge_step = Duration::from_seconds(0.5);
+  c.fault.storm_rate_per_hour = 1.0;
+  c.fault.storm_mean_duration = Duration::from_seconds(2.0);
+  c.fault.storm_loss_prob = 0.8;
+  c.mac_config.neighbor_max_age = Duration::from_seconds(40.0);
+  c.mac_config.dead_neighbor_threshold = 3;
+  c.mac_config.dead_probe_interval = Duration::from_seconds(15.0);
+  c.mac_config.guard_slack = Duration::from_seconds(0.002);
+  c.mac_config.neighbor_ewma = 0.5;
+  c.checkpoint_every = Duration::from_seconds(2.0);
+  c.checkpoint_path = "every-key.ckpt";
+  return c;
+}
+
+std::string saved(const ScenarioConfig& config) {
+  std::ostringstream os;
+  save_scenario(config, os);
+  return os.str();
+}
+
+/// A save_scenario output recorded before the key table replaced the
+/// hand-written emitter (tests/golden/).
+std::string golden(const std::string& name) {
+  std::ifstream is{std::string{AQUAMAC_GOLDEN_DIR} + "/" + name};
+  EXPECT_TRUE(is) << name;
+  std::ostringstream os;
+  os << is.rdbuf();
+  return os.str();
+}
+
+std::map<std::string, std::string> key_values(const std::string& text) {
+  std::map<std::string, std::string> values;
+  std::istringstream is{text};
+  std::string line;
+  while (std::getline(is, line)) {
+    const auto eq = line.find(" = ");
+    if (line.empty() || line.front() == '#' || eq == std::string::npos) continue;
+    values[line.substr(0, eq)] = line.substr(eq + 3);
+  }
+  return values;
+}
 
 TEST(ConfigIo, RoundTripPreservesEveryScalar) {
   ScenarioConfig original = paper_default_scenario();
@@ -247,17 +365,41 @@ TEST(ConfigIo, DoublesRoundTripExactly) {
 
 TEST(ConfigIo, NegativeIntegerRejected) {
   // std::stoull accepts a leading '-' by wrapping modulo 2^64; the parser
-  // must reject it before "node-count = -1" becomes 2^64 - 1 nodes.
-  for (const std::string line : {"node-count = -1\n", "seed = -3\n", "batch-packets = -7\n"}) {
+  // must reject it before "node-count = -1" becomes 2^64 - 1 nodes. The
+  // same holds for every value the member cannot hold: an integer above
+  // its type's maximum (a uint8_t hop-limit of 300 used to become 44), a
+  // non-finite double, and a zero node or shard count.
+  const std::pair<std::string, std::string> cases[] = {
+      {"node-count = -1", "expected an integer"},
+      {"seed = -3", "expected an integer"},
+      {"batch-packets = -7", "expected an integer"},
+      {"hop-limit = 300", "expected an integer in [0, 255]"},
+      {"hello-rounds = 4294967296", "expected an integer in [0, 4294967295]"},
+      {"seed = 18446744073709551616", "expected an integer"},
+      {"jobs =  -1", "expected an integer"},
+      {"node-count = 0", "expected a positive integer"},
+      {"shards = 0", "expected a positive integer"},
+      {"freq-khz = nan", "expected a finite number"},
+      {"offered-load-kbps = inf", "expected a finite number"},
+      {"sim-time-s = -inf", "expected a finite number"},
+      {"routing-beacon-s = 1e300", "expected a duration within"},
+  };
+  for (const auto& [line, expected] : cases) {
     SCOPED_TRACE(line);
-    std::stringstream buffer{line};
+    const std::string key = line.substr(0, line.find(' '));
+    std::stringstream buffer{line + "\n"};
     try {
       (void)load_scenario(buffer, small_test_scenario());
       FAIL() << "expected throw";
     } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string{e.what()}.find("expected an integer"), std::string::npos)
-          << e.what();
+      EXPECT_NE(std::string{e.what()}.find(expected), std::string::npos) << e.what();
+      EXPECT_NE(std::string{e.what()}.find("'" + key + "'"), std::string::npos) << e.what();
     }
+    // The one setter rejects the value without touching the config.
+    ScenarioConfig config = small_test_scenario();
+    const std::string value = line.substr(line.find('=') + 2);
+    EXPECT_THROW(apply_scenario_key(config, key, value), std::invalid_argument);
+    EXPECT_EQ(saved(config), saved(small_test_scenario()));
   }
 }
 
@@ -289,6 +431,27 @@ TEST(ConfigIo, SavedKeysAndAcceptedKeysMatchExactly) {
   // The checkpoint knobs are part of the contract.
   EXPECT_NE(std::find(accepted.begin(), accepted.end(), "checkpoint-every-s"), accepted.end());
   EXPECT_NE(std::find(accepted.begin(), accepted.end(), "checkpoint-path"), accepted.end());
+}
+
+TEST(ConfigIo, SaveIsByteIdenticalToGolden) {
+  // Checkpoint containers embed this text, so any byte change would break
+  // the bit-identical container and the loading of older checkpoints.
+  EXPECT_EQ(saved(paper_default_scenario()), golden("paper_default.cfg"));
+  EXPECT_EQ(saved(small_test_scenario()), golden("small_test.cfg"));
+  EXPECT_EQ(saved(every_key_non_default()), golden("every_key.cfg"));
+}
+
+TEST(ConfigIo, EveryKeyGoldenSetsEveryKeyAwayFromDefault) {
+  const auto defaults = key_values(saved(paper_default_scenario()));
+  const auto every = key_values(golden("every_key.cfg"));
+  ASSERT_EQ(every.size(), scenario_keys().size());
+  for (const std::string& key : scenario_keys()) {
+    ASSERT_EQ(every.count(key), 1u) << key;
+    EXPECT_NE(every.at(key), defaults.at(key)) << key;
+  }
+  // And a file written before the table loads back to the same bytes.
+  std::istringstream is{golden("every_key.cfg")};
+  EXPECT_EQ(saved(load_scenario(is, paper_default_scenario())), golden("every_key.cfg"));
 }
 
 TEST(ConfigIo, CheckpointKnobsRoundTrip) {

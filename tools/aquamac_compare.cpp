@@ -4,11 +4,18 @@
 //   aquamac_compare --x load --values 0.2,0.4,0.6,0.8 --metric throughput
 //   aquamac_compare --x nodes --values 60,100,140 --metric power --reps 5
 //   aquamac_compare --metric overhead --normalize --csv out.csv
+//   aquamac_compare --x load --node-count 80 --multi-hop true --metric e2e-delivery
+//
+// The base scenario is paper_default_scenario() plus any `--<key>` flag
+// given (every scenario key of src/harness/config_io.cpp), except the
+// keys the sweep itself sets.
 
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 
+#include "harness/config_io.hpp"
 #include "harness/scenario.hpp"
 #include "harness/sweep.hpp"
 #include "util/cli.hpp"
@@ -58,33 +65,42 @@ MetricFn metric_by_name(const std::string& name) {
 
 int run(const CliParser& cli) {
   ScenarioConfig base = paper_default_scenario();
-  base.node_count = static_cast<std::size_t>(cli.get_int("nodes"));
-  base.traffic.offered_load_kbps = cli.get_double("load");
-  base.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  base.jobs = static_cast<unsigned>(cli.get_int("jobs"));
-  base.multi_hop = cli.get_bool("multi-hop");
+  const std::vector<std::string> flagged = apply_scenario_flags(cli, base);
 
   const std::vector<double> xs = parse_values(cli.get("values"));
   const std::vector<MacKind> protocols = parse_protocols(cli.get("protocols"));
 
   const std::string axis = cli.get("x");
   ConfigSetter setter;
+  // The sweep sets the protocol and the swept keys on every run and never
+  // checkpoints, so a flag for one of these keys would be dropped.
+  std::vector<std::string> owned = {"mac", "checkpoint-every-s", "checkpoint-path"};
   if (axis == "load") {
     setter = [](ScenarioConfig& c, double x) { c.traffic.offered_load_kbps = x; };
+    owned.emplace_back("offered-load-kbps");
   } else if (axis == "nodes") {
     setter = [](ScenarioConfig& c, double x) { c.node_count = static_cast<std::size_t>(x); };
+    owned.emplace_back("node-count");
   } else if (axis == "packet-bits") {
     setter = [](ScenarioConfig& c, double x) {
       c.traffic.packet_bits_min = static_cast<std::uint32_t>(x);
       c.traffic.packet_bits_max = static_cast<std::uint32_t>(x);
     };
+    owned.insert(owned.end(), {"packet-bits-min", "packet-bits-max"});
   } else if (axis == "range") {
     setter = [](ScenarioConfig& c, double x) {
       c.channel.comm_range_m = x;
       c.channel.interference_range_m = x;
     };
+    owned.insert(owned.end(), {"comm-range-m", "interference-range-m"});
   } else {
     throw std::invalid_argument("--x must be load, nodes, packet-bits, or range");
+  }
+  for (const std::string& key : flagged) {
+    if (std::find(owned.begin(), owned.end(), key) != owned.end()) {
+      throw std::invalid_argument("--" + key + " is set by the sweep itself (--x " + axis +
+                                  ", --protocols); it cannot be given");
+    }
   }
 
   const auto reps = static_cast<unsigned>(cli.get_int("reps"));
@@ -109,28 +125,22 @@ int run(const CliParser& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  using aquamac::CliParser;
-  CliParser cli{"aquamac_compare",
-                {
-                    {"x", "load", "swept axis: load, nodes, packet-bits, range"},
-                    {"values", "0.2,0.4,0.6,0.8,1.0", "comma-separated x values"},
-                    {"protocols", "paper", "comma-separated protocol names, or 'paper' for "
-                                           "S-FAMA,ROPA,CS-MAC,EW-MAC"},
-                    {"metric", "throughput", "throughput, delivery, power, energy, overhead, "
-                                             "efficiency, latency, exectime, collisions, "
-                                             "extras, fairness, e2e-delivery, hops, "
-                                             "e2e-latency"},
-                    {"normalize", "false", "divide each cell by the S-FAMA value (Figs. "
-                                           "10/11 style)"},
-                    {"reps", "3", "seed replications per point"},
-                    {"nodes", "60", "node count when not the swept axis"},
-                    {"load", "0.5", "offered load when not the swept axis"},
-                    {"seed", "1", "base seed"},
-                    {"jobs", "0", "worker threads for the sweep (0 = all cores, "
-                                  "1 = serial; results are identical either way)"},
-                    {"multi-hop", "false", "relay traffic to surface sinks (Fig.-1 mode)"},
-                    {"csv", "", "write CSV here instead of printing a table"},
-                }};
+  std::vector<CliParser::FlagSpec> flags = {
+      {"x", "load", "swept axis: load, nodes, packet-bits, range"},
+      {"values", "0.2,0.4,0.6,0.8,1.0", "comma-separated x values"},
+      {"protocols", "paper", "comma-separated protocol names, or 'paper' for "
+                             "S-FAMA,ROPA,CS-MAC,EW-MAC"},
+      {"metric", "throughput", "throughput, delivery, power, energy, overhead, efficiency, "
+                               "latency, exectime, collisions, extras, fairness, "
+                               "e2e-delivery, hops, e2e-latency"},
+      {"normalize", "false", "divide each cell by the S-FAMA value (Figs. 10/11 style)"},
+      {"reps", "3", "seed replications per point"},
+      {"csv", "", "write CSV here instead of printing a table"},
+  };
+  for (CliParser::FlagSpec& spec : scenario_flag_specs(paper_default_scenario())) {
+    flags.push_back(std::move(spec));
+  }
+  CliParser cli{"aquamac_compare", std::move(flags)};
   try {
     if (!cli.parse(argc, argv)) {
       std::cout << cli.help_text();

@@ -1,15 +1,18 @@
 // aquamac_sim — run one UASN MAC scenario from the command line.
 //
-//   aquamac_sim --mac EW-MAC --nodes 80 --load 0.6 --seed 3
+//   aquamac_sim --mac EW-MAC --node-count 80 --offered-load-kbps 0.6 --seed 3
 //   aquamac_sim --mac CS-MAC --reception sinr --trace run.csv
+//   aquamac_sim --config my.cfg --seed 4 --save-config my-seed4.cfg
 //   aquamac_sim --help
 //
-// Prints the full metric block; optionally writes a per-event PHY + MAC
-// trace (transmissions, receptions, FSM transitions, contention
+// Every scenario key (src/harness/config_io.cpp) is a `--<key> value`
+// flag. The scenario is paper_default_scenario(), then the --config file,
+// then the key flags actually given: a flag left off never overrides the
+// file. Prints the full metric block; optionally writes a per-event PHY +
+// MAC trace (transmissions, receptions, FSM transitions, contention
 // outcomes, extra-phase windows, neighbor updates) in CSV for external
 // analysis/plotting.
 
-#include <algorithm>
 #include <fstream>
 #include <iostream>
 
@@ -27,45 +30,23 @@ using namespace aquamac;
 int run(const CliParser& cli) {
   ScenarioConfig config = paper_default_scenario();
   if (cli.has("config")) config = load_scenario_file(cli.get("config"), config);
-  config.mac = mac_kind_from_string(cli.get("mac"));
-  config.node_count = static_cast<std::size_t>(cli.get_int("nodes"));
-  config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  config.sim_time = Duration::from_seconds(cli.get_double("time"));
-  config.traffic.offered_load_kbps = cli.get_double("load");
-  config.traffic.packet_bits_min = static_cast<std::uint32_t>(cli.get_int("packet-bits"));
-  config.traffic.packet_bits_max = config.traffic.packet_bits_min;
-  config.enable_mobility = cli.get_bool("mobility");
-  config.clock_offset_stddev_s = cli.get_double("clock-skew");
-  config.multi_hop = cli.get_bool("multi-hop");
-  config.routing = routing_kind_from_string(cli.get("routing"));
-  config.routing_beacon = Duration::from_seconds(cli.get_double("routing-beacon-s"));
-  config.reliability.max_retries = static_cast<std::uint32_t>(cli.get_int("relay-retries"));
-  config.reliability.queue_limit = static_cast<std::uint32_t>(cli.get_int("relay-queue"));
-  config.node_failure_fraction = cli.get_double("kill-fraction");
-  config.shards = static_cast<unsigned>(std::max<std::int64_t>(1, cli.get_int("shards")));
+  const std::vector<std::string> flagged = apply_scenario_flags(cli, config);
 
-  const std::string region = cli.get("region");
-  if (region == "table2") {
-    config.deployment = table2_deployment();
-  } else if (region != "scaled") {
-    throw std::invalid_argument("--region must be 'scaled' or 'table2'");
-  }
-
-  const std::string reception = cli.get("reception");
-  if (reception == "sinr") {
-    config.reception = ReceptionKind::kSinrPer;
-  } else if (reception != "deterministic") {
-    throw std::invalid_argument("--reception must be 'deterministic' or 'sinr'");
-  }
-  const std::string propagation = cli.get("propagation");
-  if (propagation == "bellhop") {
-    config.propagation = PropagationKind::kBellhopLite;
-  } else if (propagation != "straight") {
-    throw std::invalid_argument("--propagation must be 'straight' or 'bellhop'");
-  }
-  if (cli.get_bool("batch")) {
-    config.traffic.mode = TrafficMode::kBatch;
-    config.traffic.batch_packets = static_cast<std::uint32_t>(cli.get_int("batch-packets"));
+  if (cli.has("resume-from")) {
+    // The snapshot embeds the exact capture scenario and resume_scenario
+    // reloads every key from it: any other scenario input would be dropped.
+    std::vector<std::string> dropped;
+    for (const char* flag : {"config", "save-config"}) {
+      if (cli.has(flag)) dropped.emplace_back(flag);
+    }
+    for (const std::string& key : flagged) {
+      if (key != "jobs" && key != "shards") dropped.push_back(key);
+    }
+    if (!dropped.empty()) {
+      throw std::invalid_argument("--" + dropped.front() +
+                                  " cannot be combined with --resume-from: the scenario comes "
+                                  "from the snapshot (only --jobs and --shards apply)");
+    }
   }
 
   std::ofstream trace_file;
@@ -93,8 +74,6 @@ int run(const CliParser& cli) {
               << " (digest-verified replay)\n\n";
     stats = resume_scenario(ckpt, config);
   } else {
-    config.checkpoint_every = Duration::from_seconds(cli.get_double("checkpoint-every-s"));
-    config.checkpoint_path = cli.get("checkpoint-out");
     std::cout << describe_scenario(config) << "\n";
     stats = run_scenario_checkpointing(config);
   }
@@ -152,53 +131,20 @@ int run(const CliParser& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  using aquamac::CliParser;
-  CliParser cli{"aquamac_sim",
-                {
-                    {"mac", "EW-MAC", "protocol: EW-MAC, S-FAMA, ROPA, CS-MAC, CW-MAC, "
-                                      "S-ALOHA, DOTS"},
-                    {"nodes", "60", "number of sensors"},
-                    {"load", "0.5", "network-aggregate offered load in kbps"},
-                    {"packet-bits", "2048", "data payload size in bits (Table 2: 1024-4096)"},
-                    {"time", "300", "traffic duration in seconds"},
-                    {"seed", "1", "random seed (runs are reproducible per seed)"},
-                    {"region", "scaled", "deployment region: scaled (figure default) or "
-                                         "table2 (paper-literal 1000 km^3)"},
-                    {"reception", "deterministic", "reception model: deterministic (Eq. 1) or "
-                                                   "sinr"},
-                    {"propagation", "straight", "propagation: straight (1.5 km/s) or bellhop "
-                                                "(ray-bent)"},
-                    {"mobility", "true", "drift nodes with the paper's three mobility models"},
-                    {"clock-skew", "0", "per-node clock offset stddev in seconds (sync "
-                                        "imperfection)"},
-                    {"multi-hop", "false", "relay traffic to surface sinks (Fig.-1 mode)"},
-                    {"routing", "tree", "multi-hop next-hop source: greedy (depth rule), "
-                                        "tree (static shortest-delay) or dv "
-                                        "(distance-vector; docs/routing.md)"},
-                    {"routing-beacon-s", "10", "DV beacon period in seconds; beacons carry "
-                                               "the sinks' sequence waves but contend like "
-                                               "any other frame, so dense single-cluster "
-                                               "deployments want this larger"},
-                    {"relay-retries", "0", "hop-by-hop custody retransmission budget per "
-                                           "node (0 = ARQ off; docs/reliability.md)"},
-                    {"relay-queue", "32", "bound on packets in relay custody per node"},
-                    {"kill-fraction", "0", "fraction of nodes that die 60 s into traffic"},
-                    {"shards", "1", "conservative-PDES shards for intra-run parallelism "
-                                    "(results are bit-identical for every value)"},
-                    {"batch", "false", "batch workload instead of Poisson (Figs. 8/9 mode)"},
-                    {"batch-packets", "40", "packets injected at start in batch mode"},
-                    {"trace", "", "write a per-event PHY + MAC trace CSV to this path"},
-                    {"stats-json", "", "write the full RunStats metric block as one JSON "
-                                       "object to this path"},
-                    {"checkpoint-every-s", "0", "snapshot the run to --checkpoint-out every N "
-                                                "sim seconds (0 = off)"},
-                    {"checkpoint-out", "", "checkpoint file path (overwritten each snapshot)"},
-                    {"resume-from", "", "resume from this checkpoint file (digest-verified "
-                                        "replay; the scenario comes from the snapshot)"},
-                    {"config", "", "load scenario defaults from a key=value file first"},
-                    {"save-config", "", "write the effective scenario to this path"},
-                    {"verbose", "false", "per-node debug logging to stderr"},
-                }};
+  std::vector<CliParser::FlagSpec> flags = {
+      {"config", "", "load scenario keys from a key=value file before the key flags"},
+      {"save-config", "", "write the effective scenario to this path"},
+      {"trace", "", "write a per-event PHY + MAC trace CSV to this path"},
+      {"stats-json", "", "write the full RunStats metric block as one JSON object to this path"},
+      {"resume-from", "", "resume from this checkpoint file (digest-verified replay; the "
+                          "scenario comes from the snapshot, so of the key flags only "
+                          "--jobs and --shards may be given)"},
+      {"verbose", "false", "per-node debug logging to stderr"},
+  };
+  for (CliParser::FlagSpec& spec : scenario_flag_specs(paper_default_scenario())) {
+    flags.push_back(std::move(spec));
+  }
+  CliParser cli{"aquamac_sim", std::move(flags)};
   try {
     if (!cli.parse(argc, argv)) {
       std::cout << cli.help_text();
